@@ -28,17 +28,11 @@ RUN_TIMEOUT_S = 170
 BUILD_TIMEOUT_S = 700
 WORKLOADS = ("seismic-batch-k10", "vector-batch-k50")
 
-ADD_OPENS = [
-    f"--add-opens={p}=ALL-UNNAMED"
-    for p in (
-        "java.base/java.lang", "java.base/java.lang.invoke", "java.base/java.lang.reflect",
-        "java.base/java.io", "java.base/java.net", "java.base/java.nio",
-        "java.base/java.util", "java.base/java.util.concurrent",
-        "java.base/java.util.concurrent.atomic", "java.base/jdk.internal.ref",
-        "java.base/sun.nio.ch", "java.base/sun.nio.cs", "java.base/sun.security.action",
-        "java.base/sun.util.calendar",
-    )
-]
+
+def add_opens() -> list:
+    """JVM flags opening the JDK packages Spark needs (shared with build.sbt)."""
+    pkgs = (HERE / "add-opens.txt").read_text().split()
+    return [f"--add-opens={p}=ALL-UNNAMED" for p in pkgs]
 
 
 def fail(msg: str) -> None:
@@ -138,7 +132,7 @@ def main() -> None:
     tmp = OUT / "tmp"
     tmp.mkdir(parents=True, exist_ok=True)
     java = Path(os.environ["JAVA_HOME"]) / "bin" / "java" if "JAVA_HOME" in os.environ else "java"
-    cmd = [str(java), "-Xms3g", "-Xmx3g", "-XX:+UseParallelGC", f"-Djava.io.tmpdir={tmp}", *ADD_OPENS,
+    cmd = [str(java), "-Xms3g", "-Xmx3g", "-XX:+UseParallelGC", f"-Djava.io.tmpdir={tmp}", *add_opens(),
            "-cp", cp, "repro.perfbench.Main",
            "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", args.trace,

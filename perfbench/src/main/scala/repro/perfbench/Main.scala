@@ -1,11 +1,13 @@
 package repro.perfbench
 
-import java.nio.charset.StandardCharsets
 import java.nio.file.{Files, Path, Paths}
 
+import scala.collection.immutable.ListMap
 import scala.collection.mutable
 import scala.util.Try
 
+import com.fasterxml.jackson.databind.ObjectMapper
+import com.fasterxml.jackson.module.scala.DefaultScalaModule
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core.{QuantizedWordSpace, Series, SeriesRecord}
 import repro.data.{Benchmark17, SeriesGen}
@@ -32,29 +34,37 @@ object Main {
     */
   final case class Workload(name: String, dataset: String, scale: Double, k: Int)
 
-  // SCEDC at half its catalog size (48 000 series): one run sets up all four
-  // engines three times, and a run must stay well inside its time budget.
+  // Both datasets at half their catalog size (48 000 series): one run sets
+  // up all four engines three times and takes at least `TailSamples` single
+  // queries per tree engine, and a run must stay well inside its time budget.
   val Workloads: Seq[Workload] = Seq(
     Workload("seismic-batch-k10", "SCEDC", 0.5, 10),
-    Workload("vector-batch-k50", "SIFT1b", 1.0, 50),
+    Workload("vector-batch-k50", "SIFT1b", 0.5, 50),
   )
 
   val Engines: Seq[String] = Seq("sofa", "messi", "ucr", "faiss")
   val PoolSize = 128       // distinct queries, each with a brute-force answer
-  val BatchSize = 8        // queries per searchBatch call
+  // Queries per searchBatch call: the 10-query set per dataset of the
+  // repository's Table II protocol (DESIGN.md), the low end of its 10-20.
+  val BatchSize = 10
   val SetupReps = 3        // setup_s is the median of these
-  val WarmupRounds = 6     // untimed search rounds before measuring
+  val WarmupRounds = 50    // untimed search rounds before measuring
   val TailP = 90.0
-  /** Fewest single-query samples per engine: the tail needs `MinBeyond`
-    * samples beyond it on the engines whose p90 is reported. A traced run
-    * reports no tail, so each of its halves needs only `MinMedian`.
+  /** Fewest single-query samples per engine: 15 beyond p90 on the engines
+    * whose p90 is reported. A traced run reports no tail, so each of its
+    * halves needs only `MinMedian`.
     */
+  val TailSamples = 150
   val MinMedian = 30
   val MinSingle: Map[String, Int] =
-    Map("sofa" -> Stats.minSamples(TailP), "messi" -> Stats.minSamples(TailP), "ucr" -> 40, "faiss" -> 40)
-  val MinBatchRounds = 3
-  val BatchQuantumS = 0.3  // per engine and batch round
-  val SingleShare = 0.4    // of --seconds; the rest goes to searchBatch
+    Map("sofa" -> TailSamples, "messi" -> TailSamples, "ucr" -> 40, "faiss" -> 40)
+  /** Fewest `searchBatch` rounds, and so calls per engine; per half in a
+    * traced run.
+    */
+  val MinBatchCalls = 9
+  val MinTracedBatchCalls = 7
+  val BatchQuantumS = 0.2  // per engine and batch round
+  val SingleShare = 0.5    // of --seconds; the rest goes to searchBatch
   val KernelSeries = 8192  // data series each kernel timing runs over
 
   final case class Options(workload: Workload, seed: Long, seconds: Double, trace: Boolean,
@@ -101,7 +111,15 @@ object Main {
   }
 
   /** A metric as printed: name, value, unit. */
-  final case class Metric(name: String, value: Double, unit: String)
+  final case class Metric(name: String, value: Double, unit: String) {
+    require(!value.isNaN && !value.isInfinite, s"$name is not a finite number: $value")
+  }
+
+  /** Writes the result line, result file and span file (Jackson and its
+    * Scala module come with Spark's jars). A `ListMap` keeps its fields in
+    * the order they are listed.
+    */
+  val json: ObjectMapper = new ObjectMapper().registerModule(DefaultScalaModule)
 }
 
 /** State and steps of one run. */
@@ -122,9 +140,12 @@ final class Run(spark: SparkSession, opts: Main.Options, cores: Int) {
 
   private def log(msg: String): Unit = Console.err.println(s"[perfbench] $msg")
 
+  /** Register or remove the tracer. Before it is removed, it receives every
+    * event already posted, so no traced job loses its tail of task events.
+    */
   private def setTracing(on: Boolean): Unit = {
     if (on && !tracing) sc.addSparkListener(tracer)
-    if (!on && tracing) sc.removeSparkListener(tracer)
+    if (!on && tracing) { tracer.drain(); sc.removeSparkListener(tracer) }
     tracing = on
   }
 
@@ -178,48 +199,72 @@ final class Run(spark: SparkSession, opts: Main.Options, cores: Int) {
     out
   }
 
+  /** Samples of one measuring pass by engine: of untraced calls, and of
+    * traced calls when traced and untraced rounds alternate.
+    */
+  private final case class Timed(plain: Map[String, Seq[Double]], traced: Map[String, Seq[Double]])
+
+  private def buffers(engines: Seq[(String, Built)]) =
+    Seq(false, true).map(_ -> engines.map(_._1 -> mutable.ArrayBuffer.empty[Double]).toMap).toMap
+
+  private def timed(bufs: Map[Boolean, Map[String, mutable.ArrayBuffer[Double]]]): Timed = {
+    def seqs(on: Boolean) = bufs(on).map { case (e, xs) => e -> xs.toSeq }
+    Timed(seqs(false), seqs(true))
+  }
+
   /** Closed loop of single `search` calls, all engines on the same query per
     * round. An engine stays in the loop while `seconds` have not passed or it
-    * has fewer than `minSamples(engine)` rounds. Returns per-engine wall
-    * times in ms of the calls that succeeded.
+    * has had fewer than `minSamples(engine)` rounds. With `alternate`, odd
+    * rounds are traced and even ones are not, so both share one stretch of
+    * time, and each gets `minSamples` rounds. Returns per-engine wall times
+    * in ms of the calls that succeeded.
     */
   private def singleLoop(engines: Seq[(String, Built)], pool: Array[Array[Float]],
                          gate: Option[Exactness.Gate], seconds: Double,
-                         minSamples: String => Int): Map[String, Seq[Double]] = {
-    val ms = engines.map(_._1 -> mutable.ArrayBuffer.empty[Double]).toMap
+                         minSamples: String => Int, alternate: Boolean): Timed = {
+    val ms = buffers(engines)
+    val perRound = if (alternate) 2 else 1
     val t0 = System.nanoTime()
     var r = 0
-    def active = engines.filter { case (e, _) => r < minSamples(e) || secondsSince(t0) < seconds }
+    def active = engines.filter { case (e, _) => r < perRound * minSamples(e) || secondsSince(t0) < seconds }
     var round = active
     while (round.nonEmpty) {
       val qi = r % pool.length
+      val on = alternate && r % 2 == 1
+      setTracing(on)
       round.foreach { case (eng, b) =>
         val t1 = System.nanoTime()
         val ans = Try(traced(s"$eng.search", 1)(b.search(pool(qi), k)))
         val dt = (System.nanoTime() - t1) / 1e6
-        if (ans.isSuccess) ms(eng) += dt else log(s"$eng.search failed: ${ans.failed.get}")
+        if (ans.isSuccess) ms(on)(eng) += dt else log(s"$eng.search failed: ${ans.failed.get}")
         gate.foreach(_.record(eng, qi, ans))
       }
       r += 1
       round = active
     }
-    ms.map { case (e, xs) => e -> xs.toSeq }
+    setTracing(false)
+    timed(ms)
   }
 
   /** Closed loop of `searchBatch` calls of `BatchSize` queries. In each round
     * every engine in turn makes calls until it has spent `BatchQuantumS`
     * (at least one call), so fast engines get as many samples as slow ones
-    * get time. Each engine walks the pool in the same order. Returns
-    * per-engine queries per second of each call that succeeded.
+    * get time. Rounds go on while `seconds` have not passed or fewer than
+    * `minCalls` rounds were made (in each half, with `alternate`: then odd
+    * rounds are traced). Each engine walks the pool in the same order.
+    * Returns per-engine queries per second of each call that succeeded.
     */
   private def batchLoop(engines: Seq[(String, Built)], pool: Array[Array[Float]],
                         gate: Option[Exactness.Gate], seconds: Double,
-                        minRounds: Int): Map[String, Seq[Double]] = {
-    val qps = engines.map(_._1 -> mutable.ArrayBuffer.empty[Double]).toMap
+                        minCalls: Int, alternate: Boolean): Timed = {
+    val qps = buffers(engines)
     val calls = mutable.Map.empty[String, Int].withDefaultValue(0)
+    val perRound = if (alternate) 2 else 1
     val t0 = System.nanoTime()
     var r = 0
-    while (r < minRounds || secondsSince(t0) < seconds) {
+    while (r < perRound * minCalls || secondsSince(t0) < seconds) {
+      val on = alternate && r % 2 == 1
+      setTracing(on)
       engines.foreach { case (eng, b) =>
         val round0 = System.nanoTime()
         do {
@@ -228,13 +273,15 @@ final class Run(spark: SparkSession, opts: Main.Options, cores: Int) {
           val t1 = System.nanoTime()
           val ans = Try(traced(s"$eng.searchBatch", BatchSize)(b.searchBatch(qis.map(pool(_)), k)))
           val dt = (System.nanoTime() - t1) / 1e9
-          if (ans.isSuccess) qps(eng) += BatchSize / dt else log(s"$eng.searchBatch failed: ${ans.failed.get}")
+          if (ans.isSuccess) qps(on)(eng) += BatchSize / dt
+          else log(s"$eng.searchBatch failed: ${ans.failed.get}")
           gate.foreach(g => qis.indices.foreach(j => g.record(eng, qis(j), ans.map(_(j)))))
         } while (secondsSince(round0) < BatchQuantumS)
       }
       r += 1
     }
-    qps.map { case (e, xs) => e -> xs.toSeq }
+    setTracing(false)
+    timed(qps)
   }
 
   def execute(): Unit = {
@@ -260,56 +307,58 @@ final class Run(spark: SparkSession, opts: Main.Options, cores: Int) {
       if (rep < SetupReps) s._1.foreach(_._2.close())
       s
     }
+    setTracing(false)
     val engines = setups.last._1
     val setupS = Stats.median(setups.map(_._3))
     val indexMb = Stats.median(setups.map(_._4))
     val buildS = Engines.map(e => e -> Stats.median(setups.map(_._2(e)))).toMap
 
-    setTracing(false)
-    // untimed, fixed length: first calls on the full-size engines
-    singleLoop(engines, pool, None, 0, _ => WarmupRounds)
-    batchLoop(engines, pool, None, 0, 1)
-
+    // Untimed, fixed length: first calls on the full-size engines (a tree's
+    // or UCR's searchBatch loops over search; FAISS's search is a batch of
+    // one). The timed searchBatch calls then come before the timed single
+    // calls, so the single-query tail is measured on code they warmed too.
+    singleLoop(engines, pool, None, 0, _ => WarmupRounds, alternate = false)
     log(f"setups and warm-up done at ${secondsSince(runT0)}%.1f s")
-    val e2e = mutable.ArrayBuffer.empty[Metric]
-    val layer = mutable.ArrayBuffer.empty[Metric]
 
-    def singleMetrics(ms: Map[String, Seq[Double]]): Seq[Metric] = Seq(
-      Metric("sofa.query_p50_ms", Stats.median(ms("sofa")), "ms"),
-      Metric("sofa.query_p90_ms", Stats.percentile(ms("sofa"), TailP), "ms"),
-      Metric("messi.query_p50_ms", Stats.median(ms("messi")), "ms"),
-      Metric("messi.query_p90_ms", Stats.percentile(ms("messi"), TailP), "ms"),
-      Metric("ucr.query_p50_ms", Stats.median(ms("ucr")), "ms"),
-      Metric("faiss.query_p50_ms", Stats.median(ms("faiss")), "ms"),
-    )
-    def batchMetrics(qps: Map[String, Seq[Double]]): Seq[Metric] =
-      Engines.map(e => Metric(s"$e.batch_qps", Stats.median(qps(e)), "1/s"))
-    def measure(seconds: Double, minSingle: String => Int,
-                tag: String): (Map[String, Seq[Double]], Map[String, Seq[Double]]) = {
-      val ms = singleLoop(engines, pool, Some(gate), seconds * SingleShare, minSingle)
-      val qps = batchLoop(engines, pool, Some(gate), seconds * (1 - SingleShare), MinBatchRounds)
-      Engines.foreach { e =>
-        samples(s"$e.search_ms$tag") = ms(e)
-        samples(s"$e.searchBatch_qps$tag") = qps(e)
+    val batchS = opts.seconds * (1 - SingleShare)
+    val singleS = opts.seconds * SingleShare
+    val (batch, single) =
+      if (!opts.trace)
+        (batchLoop(engines, pool, Some(gate), batchS, MinBatchCalls, alternate = false),
+         singleLoop(engines, pool, Some(gate), singleS, MinSingle, alternate = false))
+      else
+        // Untraced and traced rounds alternate over the same engines and
+        // queries: the difference is the tracing overhead. Per-layer
+        // figures come from the traced rounds.
+        (batchLoop(engines, pool, Some(gate), batchS, MinTracedBatchCalls, alternate = true),
+         singleLoop(engines, pool, Some(gate), singleS, _ => MinMedian, alternate = true))
+    log(f"measured at ${secondsSince(runT0)}%.1f s")
+    Engines.foreach { e =>
+      samples(s"$e.searchBatch_qps") = batch.plain(e)
+      samples(s"$e.search_ms") = single.plain(e)
+      if (opts.trace) {
+        samples(s"$e.searchBatch_qps.traced") = batch.traced(e)
+        samples(s"$e.search_ms.traced") = single.traced(e)
       }
-      log(f"measured$tag at ${secondsSince(runT0)}%.1f s")
-      (ms, qps)
     }
 
+    val e2e = mutable.ArrayBuffer.empty[Metric]
+    val layer = mutable.ArrayBuffer.empty[Metric]
     var spansOut: Seq[Span] = Nil
     if (!opts.trace) {
-      val (ms, qps) = measure(opts.seconds, MinSingle, "")
-      e2e ++= singleMetrics(ms)
-      e2e ++= batchMetrics(qps)
+      val ms = single.plain
+      e2e += Metric("sofa.query_p50_ms", Stats.median(ms("sofa")), "ms")
+      e2e += Metric("sofa.query_p90_ms", Stats.percentile(ms("sofa"), TailP), "ms")
+      e2e += Metric("messi.query_p50_ms", Stats.median(ms("messi")), "ms")
+      e2e += Metric("messi.query_p90_ms", Stats.percentile(ms("messi"), TailP), "ms")
+      e2e += Metric("ucr.query_p50_ms", Stats.median(ms("ucr")), "ms")
+      e2e += Metric("faiss.query_p50_ms", Stats.median(ms("faiss")), "ms")
+      Engines.foreach(e => e2e += Metric(s"$e.batch_qps", Stats.median(batch.plain(e)), "1/s"))
       e2e += Metric("setup_s", setupS, "s")
       e2e += Metric("sofa.index_mb", indexMb, "MiB")
     } else {
-      // Untraced then traced, same engines and calls: the difference is the
-      // tracing overhead. Per-layer figures come from the traced half.
-      val (plainMs, plainQps) = measure(opts.seconds / 2, _ => MinMedian, "")
-      setTracing(true)
-      val (tracedMs, tracedQps) = measure(opts.seconds / 2, _ => MinMedian, ".traced")
       // separate passes over the layers that setup runs together
+      setTracing(true)
       val genS = { val t0 = System.nanoTime(); traced("data.gen")(ds.rdd.count()); secondsSince(t0) }
       val fitS = {
         val t0 = System.nanoTime()
@@ -317,7 +366,6 @@ final class Run(spark: SparkSession, opts: Main.Options, cores: Int) {
           cfg.sampleRate, cfg.seed, cfg.binning, cfg.selection))
         secondsSince(t0)
       }
-      tracer.drain()
       setTracing(false)
       spansOut = tracer.spans
 
@@ -370,9 +418,9 @@ final class Run(spark: SparkSession, opts: Main.Options, cores: Int) {
       // traced minus untraced wall time per query, per call shape
       Engines.foreach { e =>
         layer += Metric(s"$e.trace_overhead_ms",
-          1000.0 / Stats.median(tracedQps(e)) - 1000.0 / Stats.median(plainQps(e)), "ms")
+          1000.0 / Stats.median(batch.traced(e)) - 1000.0 / Stats.median(batch.plain(e)), "ms")
         layer += Metric(s"$e.single_trace_overhead_ms",
-          Stats.median(tracedMs(e)) - Stats.median(plainMs(e)), "ms")
+          Stats.median(single.traced(e)) - Stats.median(single.plain(e)), "ms")
       }
       layer += Metric("failed_frac", gate.failedFrac, "fraction")
     }
@@ -381,7 +429,7 @@ final class Run(spark: SparkSession, opts: Main.Options, cores: Int) {
     val att = gate.totalAttempted
     val fl = gate.totalFailed
     val printed = if (opts.trace) layer.toSeq else e2e.toSeq
-    val meta = Json.obj(
+    val meta = ListMap(
       "git_sha" -> opts.gitSha,
       "source_sha256" -> opts.sourceSha,
       "workload" -> w.name,
@@ -402,41 +450,41 @@ final class Run(spark: SparkSession, opts: Main.Options, cores: Int) {
       "query_pool" -> PoolSize,
       "batch_size" -> BatchSize,
       "setup_reps" -> SetupReps,
+      "warmup_search_rounds" -> WarmupRounds,
       // per timed call shape: sample count, median, and the highest tail
       // percentile with at least ten samples beyond it
-      "timings" -> Json.Obj(samples.toSeq.map { case (c, xs) =>
-        c -> Json.obj("n" -> xs.size, "p50" -> Stats.median(xs),
+      "timings" -> ListMap.from(samples.map { case (c, xs) =>
+        c -> ListMap("n" -> xs.size, "p50" -> Stats.median(xs),
           "tail" -> Stats.tailPercentile(xs.size).map(p =>
-            Json.obj("p" -> p, "value" -> Stats.percentile(xs, p))))
+            ListMap("p" -> p, "value" -> Stats.percentile(xs, p))))
       }),
       "run_s" -> secondsSince(runT0),
     )
-    val exact = Json.obj(
+    val exact = ListMap(
       "attempted" -> gate.attempted.toMap, "failed" -> gate.failed.toMap,
       "tie_id_mismatch" -> gate.ties.toMap)
     def metricsObj(ms: Seq[Metric]) =
-      Json.Obj(ms.map(m => m.name -> Json.obj("value" -> m.value, "unit" -> m.unit)))
+      ListMap.from(ms.map(m => m.name -> ListMap("value" -> m.value, "unit" -> m.unit)))
     val tag = s"${w.name}-seed${opts.seed}-trace${if (opts.trace) 1 else 0}"
     val resultFile = opts.out.resolve(s"$tag.json")
-    write(resultFile, Json.write(Json.obj(
-      "meta" -> meta, "exactness" -> exact, "samples" -> Json.Obj(samples.toSeq),
-      "end_to_end" -> metricsObj(e2e.toSeq), "per_layer" -> metricsObj(layer.toSeq))))
+    write(resultFile, ListMap(
+      "meta" -> meta, "exactness" -> exact, "samples" -> ListMap.from(samples),
+      "end_to_end" -> metricsObj(e2e.toSeq), "per_layer" -> metricsObj(layer.toSeq)))
     if (opts.trace) {
-      write(opts.out.resolve(s"$tag-spans.json"), Json.write(spansOut.map { s =>
-        Json.obj("id" -> s.id, "parent" -> s.parent, "name" -> s.name,
-                 "start_ms" -> s.startMs, "end_ms" -> s.endMs, "attrs" -> s.attrs)
-      }))
+      write(opts.out.resolve(s"$tag-spans.json"), spansOut.map { s =>
+        ListMap("id" -> s.id, "parent" -> s.parent, "name" -> s.name,
+                "start_ms" -> s.startMs, "end_ms" -> s.endMs, "attrs" -> s.attrs)
+      })
     }
 
     printed.foreach(m => println(f"${m.name}%-26s ${m.value}%14.4f ${m.unit}"))
     println(s"result file: $resultFile")
-    println(Json.write(Json.obj(
+    println(Main.json.writeValueAsString(ListMap(
       "correct" -> (fl == 0 && att > 0),
       "attempted" -> att,
       "failed" -> fl,
       "metrics" -> metricsObj(printed))))
   }
 
-  private def write(p: Path, s: String): Unit =
-    Files.write(p, s.getBytes(StandardCharsets.UTF_8))
+  private def write(p: Path, value: Any): Unit = Main.json.writeValue(p.toFile, value)
 }
